@@ -17,14 +17,18 @@
 // Routing is explicit, epoch-versioned state, not arithmetic: a
 // shard.RoutingTable maps hash-space slices to groups (epoch 0
 // reproduces the historical hash%N mapping bit for bit, golden-tested),
-// and live migration advances the epoch without downtime. Rebalance —
-// on both the generic store (shard.Store.Rebalance) and the web tier
-// (webtier.Cluster.Rebalance, cmd/robuststore -rebalance, cmd/experiment
-// -run rebalance) — boots a new group, drains and fences the source
-// logs with ordered barriers, streams the moving slices' rows through
-// the ordered log as keyed snapshots (core.PartitionedMachine,
+// and live migration advances the epoch without downtime. One migration
+// driver (shard.Migration) boots a new group, drains and fences the
+// source logs with ordered barriers, streams the moving slices' rows
+// through the ordered log as keyed snapshots (core.PartitionedMachine,
 // tpcw's ExportOwned/ImportOwned/DropOwned), and publishes the next
-// epoch with one atomic cutover; writes to moving keys are delayed by
+// epoch with one atomic cutover. It runs over two hosts
+// (shard.MigrationHost), which keep only what differs between them: the
+// generic store (shard.Store.Rebalance, cmd/robuststore -rebalance)
+// partitions keyed rows, buffers frozen writes and drops moved rows at
+// cleanup; the web tier (webtier.Cluster.Rebalance, cmd/experiment -run
+// rebalance) partitions client sessions, requeues frozen writes at the
+// proxy and keeps the shared rows. Writes to moving keys are delayed by
 // the migration window, never failed, and the proxy transparently
 // re-routes requests that race the cutover (WrongEpoch redirects).
 //
@@ -57,8 +61,8 @@
 // paxos.Config.MaxInFlight deep — a uniform backpressure bound no
 // proposal path can overshoot — while acceptor WAL records coalesce into
 // shared group commits under paxos.SyncMode (Batch, the default, pays one
-// flush for every record pending behind the in-flight sync, with
-// SyncBytes/SyncDelay thresholds; Immediate is the per-record path;
+// flush for every record pending behind the in-flight sync; Immediate is
+// the per-record path;
 // None trades one replica's WAL tail for speed in measurement runs). The
 // invariants hold regardless of mode or depth: the learner delivers in
 // instance order, and every promise/accept is durable before its reply
@@ -135,7 +139,11 @@
 // delivering on another, admin inventory sweeps repricing item sets
 // across groups — while a transaction that collapses to one group takes
 // the plain submit path, bit-identical to the pre-transaction tier
-// (equivalence-tested, like Shards=1 and Readers=0). The txn fault
+// (equivalence-tested, like Shards=1 and Readers=0). The two
+// coordinators stay separate on purpose: the web tier's speaks its own
+// simulated messages, each with its own wire size, while
+// shard.Store.ExecuteTxn blocks as goroutine callers want, so a shared
+// one would only add locking and transport plumbing. The txn fault
 // scenarios (coordinator crash, coordinator–participant partition,
 // participant crash holding a prepared branch) run under cmd/experiment
 // -run txn with per-group commit/abort/blocked-time counters
@@ -241,8 +249,6 @@
 // //guarded:held — each with a reason, so the suite stays at zero
 // findings and every suppression is a documented decision.
 //
-// See README.md for the layout, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
 // The root package holds only the benchmark harness (bench_test.go);
 // the implementation lives under internal/.
 package robuststore

@@ -9,6 +9,7 @@ import (
 	"robuststore/internal/metrics"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
+	"robuststore/internal/shard"
 	"robuststore/internal/sim"
 	"robuststore/internal/tpcw"
 	"robuststore/internal/webtier"
@@ -634,9 +635,9 @@ func runOnce(cfg RunConfig) RunResult {
 	// transition, deterministically inside the window.
 	if cfg.RebalanceAtSec > 0 {
 		s.At(at(cfg.RebalanceAtSec), func() {
-			cluster.Rebalance(webtier.RebalanceOptions{
+			cluster.Rebalance(shard.RebalanceOptions{
 				OnPhase: func(phase string) {
-					if phase == webtier.PhaseCopy && cfg.CrashMidMigration {
+					if phase == shard.PhaseCopy && cfg.CrashMidMigration {
 						victim := pickVictimsInGroup(cfg, 0)[0]
 						crashes = append(crashes, crashEvent{server: victim, at: s.Now()})
 						cluster.Crash(victim)

@@ -398,8 +398,17 @@ type liveNode struct {
 	inc   int64
 	inbox chan func()
 	node  env.Node
+
+	// spill queues runtime-internal events (posts, timer firings,
+	// storage completions) that found the inbox full, in order; the loop
+	// moves them into the inbox as it frees up. Only network messages
+	// may be dropped at the cap.
+	spill   []func()    // guarded by mu
+	spilled atomic.Bool // len(spill) > 0
 }
 
+// inboxSize caps a node's queued network messages; a message that finds
+// the inbox full is lost, like a datagram at a full socket buffer.
 const inboxSize = 8192
 
 func (n *liveNode) start() {
@@ -421,11 +430,48 @@ func (n *liveNode) start() {
 	n.c.wg.Add(1)
 	go func() {
 		defer n.c.wg.Done()
-		for fn := range inbox {
+		for {
+			var fn func()
+			select {
+			case fn = <-inbox:
+			default:
+				// Check the spill under the lock before blocking: any event
+				// spilled after this check found the inbox full, so the
+				// receive below cannot block on it.
+				n.refill(inbox)
+				fn = <-inbox
+			}
+			if fn == nil {
+				return // crashed: inbox closed and drained
+			}
 			fn()
+			if n.spilled.Load() {
+				n.refill(inbox)
+			}
 		}
 	}()
-	n.post(func() { node.Start(e) })
+	n.postInc(inc, func() { node.Start(e) })
+}
+
+// refill moves spilled events into the incarnation's inbox while it has
+// room, preserving their order.
+func (n *liveNode) refill(inbox chan func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.inbox != inbox {
+		return
+	}
+	for len(n.spill) > 0 {
+		select {
+		case inbox <- n.spill[0]:
+			n.spill[0] = nil
+			n.spill = n.spill[1:]
+		default:
+			return
+		}
+	}
+	n.spill = nil
+	n.spilled.Store(false)
 }
 
 func (n *liveNode) crash() {
@@ -439,12 +485,14 @@ func (n *liveNode) crash() {
 	n.node = nil
 	close(n.inbox)
 	n.inbox = nil
+	n.spill = nil
+	n.spilled.Store(false)
 }
 
-// post runs fn on the node's loop if it is alive. Overflow drops the
-// event (protocols tolerate loss); blocking here could deadlock loops
-// sending to each other.
-func (n *liveNode) post(fn func()) {
+// deliver queues a network message on the node's loop if it is alive.
+// A full inbox drops it (protocols tolerate message loss); blocking here
+// could deadlock loops sending to each other.
+func (n *liveNode) deliver(fn func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive || n.inbox == nil {
@@ -456,18 +504,39 @@ func (n *liveNode) post(fn func()) {
 	}
 }
 
-// postInc posts only if the incarnation is still current. The send
-// happens under the mutex so it cannot race the close in crash.
+// post runs fn on the current incarnation's loop if it is alive.
+func (n *liveNode) post(fn func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.enqueueLocked(fn)
+}
+
+// postInc runs fn on incarnation inc's loop if it is still current. The
+// send happens under the mutex so it cannot race the close in crash.
 func (n *liveNode) postInc(inc int64, fn func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.alive || n.inc != inc || n.inbox == nil {
+	if n.inc == inc {
+		n.enqueueLocked(fn)
+	}
+}
+
+// enqueueLocked queues a runtime-internal event, never dropping it: when
+// the inbox is full (or earlier events already spilled) it goes to the
+// spill queue behind them.
+func (n *liveNode) enqueueLocked(fn func()) {
+	if !n.alive || n.inbox == nil {
 		return
 	}
-	select {
-	case n.inbox <- fn:
-	default:
+	if len(n.spill) == 0 {
+		select {
+		case n.inbox <- fn:
+			return
+		default:
+		}
 	}
+	n.spill = append(n.spill, fn)
+	n.spilled.Store(true)
 }
 
 // liveEnv implements env.Env for one incarnation.
@@ -537,7 +606,7 @@ func (e *liveEnv) Send(to env.NodeID, msg env.Message) {
 		node := target.node
 		target.mu.Unlock()
 		if node != nil {
-			target.post(func() {
+			target.deliver(func() {
 				target.mu.Lock()
 				cur := target.node
 				target.mu.Unlock()

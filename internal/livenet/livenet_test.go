@@ -3,6 +3,7 @@ package livenet
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -496,5 +497,104 @@ func TestLiveLinkDelayStillDelivers(t *testing.T) {
 	settle()
 	if nodes[1].count() != 2 {
 		t.Fatalf("restored link received %d messages, want 2", nodes[1].count())
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stallAndFlood blocks node to's loop and fills its inbox past the cap
+// with messages sent from e. The returned func releases the loop.
+func stallAndFlood(t *testing.T, c *Cluster, e env.Env, to env.NodeID) (release func()) {
+	t.Helper()
+	stall := make(chan struct{})
+	c.Post(to, func() { <-stall })
+	for i := 0; i < inboxSize+512; i++ {
+		e.Send(to, i)
+	}
+	n := c.node(to)
+	waitFor(t, "a full inbox", func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.inbox) == cap(n.inbox)
+	})
+	settle() // the sends past the cap land (and drop)
+	return func() { close(stall) }
+}
+
+// TestFullInboxDropsOnlyMessages: a full inbox may drop network messages,
+// the modelled fault, but never a runtime-internal event. A Post, a timer
+// firing and a storage completion that arrive behind the flood each run
+// exactly once.
+func TestFullInboxDropsOnlyMessages(t *testing.T) {
+	c, nodes := pingCluster(t, 2)
+	from, to := nodes[0].env(), nodes[1].env()
+	release := stallAndFlood(t, c, from, to.ID())
+
+	var posted, fired, stored atomic.Int32
+	to.Post(func() { posted.Add(1) })
+	to.After(0, func() { fired.Add(1) })
+	to.Storage().Append(env.Record{Kind: "probe", Size: 1}, func(error) { stored.Add(1) })
+	settle() // the timer fires into the full inbox
+	release()
+
+	waitFor(t, "the internal events", func() bool {
+		return posted.Load() > 0 && fired.Load() > 0 && stored.Load() > 0
+	})
+	settle()
+	if posted.Load() != 1 || fired.Load() != 1 || stored.Load() != 1 {
+		t.Fatalf("post ran %d times, timer %d, storage completion %d; want 1 each",
+			posted.Load(), fired.Load(), stored.Load())
+	}
+	if got := nodes[1].count(); got >= inboxSize+512 {
+		t.Fatalf("received %d messages; the flood past the cap should drop", got)
+	}
+}
+
+// TestFencedReadSurvivesFullInbox: a fenced read issued while the
+// replica's inbox is full of messages still runs its callback or its
+// stale fallback (ReadAt hands the read to the loop with a Post).
+func TestFencedReadSurvivesFullInbox(t *testing.T) {
+	c := New(Config{Latency: 50 * time.Microsecond, Seed: 13})
+	var r *core.Replica
+	rid := c.AddNode(func() env.Node {
+		r = core.NewReplica(core.Config{
+			Machine: func() core.StateMachine { return &counter{} },
+			Paxos: paxos.Config{
+				Members:           []env.NodeID{0},
+				HeartbeatInterval: 20 * time.Millisecond,
+				LeaderTimeout:     120 * time.Millisecond,
+			},
+		})
+		return r
+	})
+	p := &pingNode{}
+	c.AddNode(func() env.Node { return p })
+	c.StartAll()
+	t.Cleanup(c.Close)
+	waitReady(t, r)
+	waitFor(t, "the sender to start", func() bool { return p.env() != nil })
+
+	release := stallAndFlood(t, c, p.env(), rid)
+	var ran atomic.Int32
+	if !r.ReadAt(r.LastApplied()+1, 100*time.Millisecond,
+		func(core.StateMachine, paxos.InstanceID) { ran.Add(1) },
+		func() { ran.Add(1) }) {
+		t.Fatal("ReadAt refused a started replica")
+	}
+	release()
+	waitFor(t, "the fenced read's callback", func() bool { return ran.Load() > 0 })
+	time.Sleep(150 * time.Millisecond) // past the fence wait
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("fenced read ran %d callbacks, want exactly 1", got)
 	}
 }

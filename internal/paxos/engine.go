@@ -36,19 +36,11 @@ type Config struct {
 
 	// Sync selects the WAL flush policy (see SyncMode). The default,
 	// SyncBatch, coalesces concurrently pending WAL records into one
-	// group commit per flush.
+	// group commit per flush. A group flushes at the next executor step:
+	// coalescing comes only from records that pile up behind an in-flight
+	// flush, which adds no latency at low concurrency and converges to
+	// full group commit under load.
 	Sync SyncMode
-
-	// SyncBytes flushes a pending WAL group early once it holds this
-	// many bytes (SyncBatch only). Default 256 KiB.
-	SyncBytes int64
-
-	// SyncDelay bounds how long a pending WAL group may wait for more
-	// records before flushing (SyncBatch only). The default, 0, flushes
-	// at the next executor step: coalescing then comes only from records
-	// that pile up behind an in-flight flush, which adds no latency at
-	// low concurrency and converges to full group commit under load.
-	SyncDelay time.Duration
 
 	// Admission parameterizes the proposer's write-admission controller
 	// (see AdmissionConfig). Zero fields take defaults derived from the
@@ -149,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.CmdSize == nil {
 		c.CmdSize = func(any) int64 { return 128 }
 	}
-	if c.SyncBytes == 0 {
-		c.SyncBytes = 256 << 10
-	}
 	c.Admission = c.Admission.withDefaults(c.MaxInFlight*c.MaxBatchCmds, 128)
 	return c
 }
@@ -244,7 +233,7 @@ func New(cfg Config) *Engine {
 // ready, if non-nil, runs once the WAL has been replayed.
 func (en *Engine) Boot(e env.Env, deliverFloor InstanceID, ready func()) {
 	en.e = e
-	en.wal = newWALWriter(e, en.cfg.Sync, en.cfg.SyncBytes, en.cfg.SyncDelay)
+	en.wal = newWALWriter(e, en.cfg.Sync)
 	en.me = e.ID()
 	en.members = en.cfg.Members
 	if en.members == nil {

@@ -1,10 +1,6 @@
 package paxos
 
-import (
-	"time"
-
-	"robuststore/internal/env"
-)
+import "robuststore/internal/env"
 
 // SyncMode selects how the engine flushes WAL records to stable storage.
 // The tradeoff mirrors kevo-style WAL sync policies: Batch amortizes the
@@ -16,10 +12,10 @@ type SyncMode int
 
 const (
 	// SyncBatch (the default) coalesces records that arrive while a
-	// flush is in flight — or within SyncDelay, or until SyncBytes
-	// accumulate — into one Storage.AppendBatch call, so the whole group
-	// pays one sync latency. Completion callbacks still run only after
-	// the records are durable, preserving the WAL-before-ack invariant.
+	// flush is in flight, or within the same executor step, into one
+	// Storage.AppendBatch call, so the whole group pays one sync
+	// latency. Completion callbacks still run only after the records are
+	// durable, preserving the WAL-before-ack invariant.
 	SyncBatch SyncMode = iota
 
 	// SyncImmediate issues one Storage.Append per record, the pre-group-
@@ -56,21 +52,17 @@ func (m SyncMode) String() string {
 // ordering on disk is identical to SyncImmediate — only the flush
 // boundaries move.
 type walWriter struct {
-	e         env.Env
-	mode      SyncMode
-	syncBytes int64
-	syncDelay time.Duration
+	e    env.Env
+	mode SyncMode
 
 	buf      []env.Record
 	dones    []func(error)
-	bufBytes int64
-	inFlight bool      // an AppendBatch is awaiting durability
-	timer    env.Timer // pending SyncDelay flush
-	armed    bool      // a flush is scheduled (timer or Post)
+	inFlight bool // an AppendBatch is awaiting durability
+	armed    bool // a flushNow is posted
 }
 
-func newWALWriter(e env.Env, mode SyncMode, syncBytes int64, syncDelay time.Duration) *walWriter {
-	return &walWriter{e: e, mode: mode, syncBytes: syncBytes, syncDelay: syncDelay}
+func newWALWriter(e env.Env, mode SyncMode) *walWriter {
+	return &walWriter{e: e, mode: mode}
 }
 
 // append writes one record under the configured policy. done (nil
@@ -93,37 +85,30 @@ func (w *walWriter) append(rec env.Record, done func(error)) {
 func (w *walWriter) buffer(rec env.Record, done func(error)) {
 	w.buf = append(w.buf, rec)
 	w.dones = append(w.dones, done)
-	w.bufBytes += rec.Size
 	w.maybeFlush()
 }
 
 // maybeFlush schedules a flush of the buffered records unless one is
 // already pending or in flight. While a flush is in flight further
 // records pile into buf and go out as the next group — that queue-behind-
-// the-flush window is where coalescing comes from.
+// the-flush window is where coalescing comes from. The flush runs at the
+// next executor step (not inline) so records appended by the same event
+// share the group.
 func (w *walWriter) maybeFlush() {
 	if w.inFlight || w.armed || len(w.buf) == 0 {
 		return
 	}
-	if w.bufBytes >= w.syncBytes || w.syncDelay <= 0 {
-		// Flush at the next executor step (not inline) so records
-		// appended by the same event share the group.
-		w.armed = true
-		w.e.Post(w.flushNow)
-		return
-	}
 	w.armed = true
-	w.timer = w.e.After(w.syncDelay, w.flushNow)
+	w.e.Post(w.flushNow)
 }
 
 func (w *walWriter) flushNow() {
 	w.armed = false
-	w.timer = nil
 	if w.inFlight || len(w.buf) == 0 {
 		return
 	}
 	recs, dones := w.buf, w.dones
-	w.buf, w.dones, w.bufBytes = nil, nil, 0
+	w.buf, w.dones = nil, nil
 	w.inFlight = true
 	w.e.Storage().AppendBatch(recs, func(err error) {
 		w.inFlight = false

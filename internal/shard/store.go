@@ -89,7 +89,7 @@ type Store struct {
 
 	table  atomic.Pointer[RoutingTable]
 	groups atomic.Pointer[[]*Group]
-	mig    atomic.Pointer[migration]
+	mig    atomic.Pointer[Migration]
 
 	// rebalMu serializes Rebalance calls: the active-migration check,
 	// new-group registration and group-list publication must be one
@@ -217,12 +217,12 @@ func (g *Group) pick() *core.Replica {
 // new epoch; reads keep hitting the source group via the published
 // table).
 func (s *Store) route(key string) (group int, frozen bool) {
-	t := s.table.Load()
-	slice := t.SliceOf(key)
-	if m := s.mig.Load(); m != nil && m.sliceFrozen(slice) {
-		return t.Assign[slice], true
-	}
-	return t.Assign[slice], false
+	// Check the freeze before loading the table: cutover publishes the
+	// next table before it lifts the freeze, so a slice seen unfrozen
+	// here routes by a table that already names its owner.
+	m := s.mig.Load()
+	frozen = m != nil && m.Frozen(s.table.Load().SliceOf(key))
+	return s.table.Load().Group(key), frozen
 }
 
 // PickReplica returns the current submission target of the group owning
@@ -265,10 +265,10 @@ func (s *Store) PickRead(key string, hint int64) *core.Replica {
 func (s *Store) Submit(key string, action any, done func(result any, err error)) {
 	g, frozen := s.route(key)
 	if frozen {
-		if m := s.mig.Load(); m != nil && m.defer_(key, action, done) {
+		if m := s.mig.Load(); m != nil && m.hold(s.table.Load().SliceOf(key), func() { s.resubmit(key, action, done) }) {
 			return
 		}
-		// Migration completed between route and defer: fall through with
+		// Migration completed between route and hold: fall through with
 		// the post-cutover routing.
 		g, _ = s.route(key)
 	}
@@ -280,6 +280,17 @@ func (s *Store) Submit(key string, action any, done func(result any, err error))
 		return
 	}
 	r.Submit(action, done)
+}
+
+// resubmit sends a held submission to the group owning key under the
+// published table, from any goroutine.
+func (s *Store) resubmit(key string, action any, done func(any, error)) {
+	r := s.groupList()[s.ShardOf(key)].pick()
+	if r == nil || !r.SubmitFrom(action, done) {
+		if done != nil {
+			done(nil, ErrNoReplica)
+		}
+	}
 }
 
 // Execute proposes an action on the group owning key and blocks until it

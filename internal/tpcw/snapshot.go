@@ -30,48 +30,7 @@ type storeSnap struct {
 // Snapshot returns a deep copy of the mutable bookstore state and its
 // nominal size, implementing core.StateMachine.
 func (s *Store) Snapshot() (any, int64) {
-	snap := storeSnap{
-		Items:        make(map[ItemID]*Item, len(s.items)),
-		Customers:    make(map[CustomerID]*Customer, len(s.customers)),
-		ByUName:      make(map[string]CustomerID, len(s.byUName)),
-		Addresses:    make(map[AddressID]*Address, len(s.addresses)),
-		Orders:       make(map[OrderID]*Order, len(s.orders)),
-		Carts:        make(map[CartID]Cart, len(s.carts)),
-		BsQty:        make(map[ItemID]int64, len(s.bsQty)),
-		LastOrder:    make(map[CustomerID]OrderID, len(s.lastOrder)),
-		RecentOrders: append([]OrderID(nil), s.recentOrders...),
-		NextAddress:  s.nextAddress,
-		NextCustomer: s.nextCustomer,
-		NextOrder:    s.nextOrder,
-		NextCart:     s.nextCart,
-		NominalBytes: s.nominalBytes,
-		Catalog:      s.cat,
-	}
-	for k, v := range s.items {
-		snap.Items[k] = v
-	}
-	for k, v := range s.customers {
-		snap.Customers[k] = v
-	}
-	for k, v := range s.byUName {
-		snap.ByUName[k] = v
-	}
-	for k, v := range s.addresses {
-		snap.Addresses[k] = v
-	}
-	for k, v := range s.orders {
-		snap.Orders[k] = v // orders are immutable after insertion
-	}
-	for k, v := range s.carts {
-		v.Lines = append([]CartLine(nil), v.Lines...)
-		snap.Carts[k] = v
-	}
-	for k, v := range s.bsQty {
-		snap.BsQty[k] = v
-	}
-	for k, v := range s.lastOrder {
-		snap.LastOrder[k] = v
-	}
+	snap := s.state().clone()
 	// A full snapshot anchors the incremental-checkpoint chain: the next
 	// SnapshotDelta is relative to this state (see delta.go).
 	s.resetDirty()
@@ -81,56 +40,96 @@ func (s *Store) Snapshot() (any, int64) {
 // Restore replaces the store state from a Snapshot payload, implementing
 // core.StateMachine.
 func (s *Store) Restore(data any) {
-	snap, ok := data.(storeSnap)
-	if !ok {
-		return
+	if snap, ok := data.(storeSnap); ok {
+		s.install(snap.clone())
 	}
-	s.items = make(map[ItemID]*Item, len(snap.Items))
-	for k, v := range snap.Items {
-		s.items[k] = v
+}
+
+// state returns the store's mutable state by reference.
+func (s *Store) state() storeSnap {
+	return storeSnap{
+		Items:        s.items,
+		Customers:    s.customers,
+		ByUName:      s.byUName,
+		Addresses:    s.addresses,
+		Orders:       s.orders,
+		Carts:        s.carts,
+		BsQty:        s.bsQty,
+		LastOrder:    s.lastOrder,
+		RecentOrders: s.recentOrders,
+		NextAddress:  s.nextAddress,
+		NextCustomer: s.nextCustomer,
+		NextOrder:    s.nextOrder,
+		NextCart:     s.nextCart,
+		NominalBytes: s.nominalBytes,
+		Catalog:      s.cat,
 	}
-	s.customers = make(map[CustomerID]*Customer, len(snap.Customers))
-	for k, v := range snap.Customers {
-		s.customers[k] = v
+}
+
+// clone copies every map and slice of st (cart lines included); the rows
+// they point to are shared copy-on-write. It only reads st.
+func (st storeSnap) clone() storeSnap {
+	out := st
+	out.Items = make(map[ItemID]*Item, len(st.Items))
+	for k, v := range st.Items {
+		out.Items[k] = v
 	}
-	s.byUName = make(map[string]CustomerID, len(snap.ByUName))
-	for k, v := range snap.ByUName {
-		s.byUName[k] = v
+	out.Customers = make(map[CustomerID]*Customer, len(st.Customers))
+	for k, v := range st.Customers {
+		out.Customers[k] = v
 	}
-	s.addresses = make(map[AddressID]*Address, len(snap.Addresses))
-	for k, v := range snap.Addresses {
-		s.addresses[k] = v
+	out.ByUName = make(map[string]CustomerID, len(st.ByUName))
+	for k, v := range st.ByUName {
+		out.ByUName[k] = v
 	}
-	s.orders = make(map[OrderID]*Order, len(snap.Orders))
-	for k, v := range snap.Orders {
-		s.orders[k] = v
+	out.Addresses = make(map[AddressID]*Address, len(st.Addresses))
+	for k, v := range st.Addresses {
+		out.Addresses[k] = v
 	}
-	s.carts = make(map[CartID]Cart, len(snap.Carts))
-	for k, v := range snap.Carts {
+	out.Orders = make(map[OrderID]*Order, len(st.Orders))
+	for k, v := range st.Orders {
+		out.Orders[k] = v // orders are immutable after insertion
+	}
+	out.Carts = make(map[CartID]Cart, len(st.Carts))
+	for k, v := range st.Carts {
 		v.Lines = append([]CartLine(nil), v.Lines...)
-		s.carts[k] = v
+		out.Carts[k] = v
 	}
-	s.bsQty = make(map[ItemID]int64, len(snap.BsQty))
-	for k, v := range snap.BsQty {
-		s.bsQty[k] = v
+	out.BsQty = make(map[ItemID]int64, len(st.BsQty))
+	for k, v := range st.BsQty {
+		out.BsQty[k] = v
 	}
-	s.lastOrder = make(map[CustomerID]OrderID, len(snap.LastOrder))
-	for k, v := range snap.LastOrder {
-		s.lastOrder[k] = v
+	out.LastOrder = make(map[CustomerID]OrderID, len(st.LastOrder))
+	for k, v := range st.LastOrder {
+		out.LastOrder[k] = v
 	}
-	s.recentOrders = append([]OrderID(nil), snap.RecentOrders...)
-	s.nextAddress = snap.NextAddress
-	s.nextCustomer = snap.NextCustomer
-	s.nextOrder = snap.NextOrder
-	s.nextCart = snap.NextCart
-	s.nominalBytes = snap.NominalBytes
-	if snap.Catalog != nil {
-		s.cat = snap.Catalog
+	out.RecentOrders = append([]OrderID(nil), st.RecentOrders...)
+	return out
+}
+
+// install makes st (which the caller hands over) the store's state.
+func (s *Store) install(st storeSnap) {
+	s.items = st.Items
+	s.customers = st.Customers
+	s.byUName = st.ByUName
+	s.addresses = st.Addresses
+	s.orders = st.Orders
+	s.carts = st.Carts
+	s.bsQty = st.BsQty
+	s.lastOrder = st.LastOrder
+	s.recentOrders = st.RecentOrders
+	s.nextAddress = st.NextAddress
+	s.nextCustomer = st.NextCustomer
+	s.nextOrder = st.NextOrder
+	s.nextCart = st.NextCart
+	s.nominalBytes = st.NominalBytes
+	if st.Catalog != nil {
+		s.cat = st.Catalog
 	}
 	s.bsCache = nil
 	s.bsBySubject = nil
 	s.ordersSinceBS = 0
-	// The restored state is snapshot-exact: re-anchor delta tracking.
+	// The installed state is snapshot-exact: re-anchor delta tracking.
 	s.resetDirty()
 }
 
@@ -139,10 +138,10 @@ func (s *Store) Execute(action any) any { return s.Apply(action) }
 
 // Clone returns an independent deep copy of the store (sharing the
 // immutable catalog). The experiment harness populates one prototype per
-// state size and clones it for each replica.
+// state size and clones it for each replica. Clone copies the state once
+// and writes nothing to s, so concurrent clones of one prototype are safe.
 func (s *Store) Clone() *Store {
-	snap, _ := s.Snapshot()
 	out := &Store{}
-	out.Restore(snap)
+	out.install(s.state().clone())
 	return out
 }

@@ -164,7 +164,7 @@ type Cluster struct {
 	// across the seeded fault suite.
 	fenceViolations int64
 
-	mig *clusterMigration // non-nil once Rebalance has been called
+	mig *shard.Migration // non-nil once Rebalance has been called
 }
 
 // NewCluster builds the deployment. Call Start before driving load.
@@ -267,7 +267,7 @@ func (c *Cluster) GroupOf(client int64) int {
 // its writes must wait for the next routing epoch (the proxy requeues
 // them; reads keep flowing to the source group).
 func (c *Cluster) sessionFrozen(client int64) bool {
-	return c.mig != nil && c.mig.frozen[c.table.SliceOf(tpcw.SessionKey(client))]
+	return c.mig != nil && c.mig.Frozen(c.table.SliceOf(tpcw.SessionKey(client)))
 }
 
 // Start boots all nodes and the watchdogs.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"robuststore/internal/rbe"
+	"robuststore/internal/shard"
 	"robuststore/internal/tpcw"
 )
 
@@ -82,9 +83,9 @@ func TestClusterRebalanceUnderLoad(t *testing.T) {
 	done := false
 	var phases []string
 	s.At(s.Now().Add(5*time.Second), func() {
-		c.Rebalance(RebalanceOptions{
+		c.Rebalance(shard.RebalanceOptions{
 			OnPhase: func(p string) { phases = append(phases, p) },
-			Done:    func() { done = true },
+			Done:    func(error) { done = true },
 		})
 	})
 	s.RunUntil(stop.Add(10 * time.Second))
@@ -138,7 +139,7 @@ func TestClusterRebalanceUnderLoad(t *testing.T) {
 		t.Fatalf("%d/%d interactions failed across the rebalance", errs, total)
 	}
 	// Phase order sanity.
-	want := []string{PhaseBoot, PhaseDrain, PhaseCopy, PhaseCleanup, PhaseDone}
+	want := []string{shard.PhaseBoot, shard.PhaseDrain, shard.PhaseCopy, shard.PhaseCleanup, shard.PhaseDone}
 	if len(phases) != len(want) {
 		t.Fatalf("phases = %v", phases)
 	}
@@ -201,7 +202,7 @@ func TestClusterRebalanceMovesRows(t *testing.T) {
 	s := c.Sim()
 	done := false
 	s.At(s.Now(), func() {
-		c.Rebalance(RebalanceOptions{Done: func() { done = true }})
+		c.Rebalance(shard.RebalanceOptions{Done: func(error) { done = true }})
 	})
 	s.RunFor(30 * time.Second)
 	if !done {
