@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"time"
@@ -64,24 +63,64 @@ type event struct {
 	fn  func()
 }
 
+// before orders events by (at, seq); seq is unique, so the order is total
+// and the firing sequence does not depend on the heap's shape.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of events under before. It is typed
+// rather than built on container/heap so the comparison inlines and no
+// push or pop goes through an interface.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *eventQueue) push(e *event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = e
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // New returns an empty simulation starting at the Unix epoch of virtual
@@ -115,7 +154,7 @@ func (s *Sim) schedule(at time.Time, fn func()) *event {
 	}
 	s.seq++
 	e := &event{at: ns, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -134,7 +173,7 @@ func (s *Sim) RunUntil(t time.Time) {
 		if e.at > limit {
 			break
 		}
-		heap.Pop(&s.queue)
+		s.queue.pop()
 		if e.fn == nil {
 			continue
 		}
@@ -162,7 +201,7 @@ func (s *Sim) RunUntilIdle(maxEvents int) bool {
 		if len(s.queue) == 0 {
 			return true
 		}
-		e := heap.Pop(&s.queue).(*event)
+		e := s.queue.pop()
 		if e.fn == nil {
 			continue
 		}

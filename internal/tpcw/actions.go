@@ -405,6 +405,7 @@ func (s *Store) pushRecentOrder(o *Order) {
 		s.bsQty[l.Item] += int64(l.Qty)
 		s.bsIndexSync(l.Item)
 	}
+	s.coBoughtAdd(o)
 	if len(s.recentOrders) > bestSellerWindow {
 		evicted := s.recentOrders[0]
 		s.recentOrders = s.recentOrders[1:]
@@ -417,6 +418,7 @@ func (s *Store) pushRecentOrder(o *Order) {
 				}
 				s.bsIndexSync(l.Item)
 			}
+			s.coBoughtEvict(old)
 		}
 	}
 	s.ordersSinceBS++
@@ -436,7 +438,7 @@ func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
 	item.Image = a.Image
 	item.Thumbnail = a.Thumbnail
 	// Recompute related items from co-purchases in the recent-order
-	// window (deterministic: ordered scan, stable tie-break by item id).
+	// window (deterministic: stable tie-break by item id).
 	item.Related = s.relatedFromOrders(a.Item)
 	s.items[a.Item] = &item
 	s.markItem(a.Item)
@@ -444,24 +446,15 @@ func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
 }
 
 // relatedFromOrders finds the five items most frequently bought together
-// with the given item over the recent-order window.
+// with the given item over the recent-order window. Each window order
+// containing the item adds one per other line, so an item repeated across
+// a gift order's lines counts once per line.
 func (s *Store) relatedFromOrders(id ItemID) [5]ItemID {
+	if s.coBought == nil {
+		s.rebuildCoBought()
+	}
 	counts := make(map[ItemID]int)
-	for _, oid := range s.recentOrders {
-		order, ok := s.orders[oid]
-		if !ok {
-			continue
-		}
-		has := false
-		for _, l := range order.Lines {
-			if l.Item == id {
-				has = true
-				break
-			}
-		}
-		if !has {
-			continue
-		}
+	for _, order := range s.coBought[id] {
 		for _, l := range order.Lines {
 			if l.Item != id {
 				counts[l.Item]++
@@ -488,6 +481,54 @@ func (s *Store) relatedFromOrders(id ItemID) [5]ItemID {
 		delete(counts, best)
 	}
 	return related
+}
+
+// rebuildCoBought derives coBought from the recentOrders window from
+// scratch, skipping orders no longer in the store (dropped by a
+// migration), as the window eviction does.
+func (s *Store) rebuildCoBought() {
+	s.coBought = make(map[ItemID][]*Order)
+	for _, oid := range s.recentOrders {
+		if o, ok := s.orders[oid]; ok {
+			s.coBoughtAdd(o)
+		}
+	}
+}
+
+// coBoughtAdd lists o, the window's newest order, under each of its
+// items. o is already last in an item's list when an earlier line had
+// the same item, which keeps each order listed once per item. No-op
+// while the index has not been built.
+func (s *Store) coBoughtAdd(o *Order) {
+	if s.coBought == nil {
+		return
+	}
+	for _, l := range o.Lines {
+		list := s.coBought[l.Item]
+		if n := len(list); n > 0 && list[n-1] == o {
+			continue
+		}
+		s.coBought[l.Item] = append(list, o)
+	}
+}
+
+// coBoughtEvict unlists o, the window's oldest order, from the front of
+// each of its items' lists. No-op while the index has not been built.
+func (s *Store) coBoughtEvict(o *Order) {
+	if s.coBought == nil {
+		return
+	}
+	for _, l := range o.Lines {
+		list := s.coBought[l.Item]
+		if len(list) == 0 || list[0] != o {
+			continue // a repeated item, already unlisted
+		}
+		if len(list) == 1 {
+			delete(s.coBought, l.Item)
+		} else {
+			s.coBought[l.Item] = list[1:]
+		}
+	}
 }
 
 func customerUName(id CustomerID) string { return "C" + strconv.FormatInt(int64(id), 10) }

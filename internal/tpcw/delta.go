@@ -233,6 +233,7 @@ func (s *Store) ApplyDelta(data any) {
 	s.nominalBytes = snap.NominalBytes
 	s.bsCache = nil
 	s.bsBySubject = nil
+	s.coBought = nil
 	s.ordersSinceBS = 0
 	s.resetDirty()
 }

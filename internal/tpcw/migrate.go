@@ -22,7 +22,9 @@ import "strconv"
 //
 // The best-sellers window (recentOrders/bsQty) is a per-group aggregate
 // over the group's own order history and does not migrate; eviction
-// tolerates dropped orders.
+// tolerates dropped orders. The derived indexes over it (bsBySubject and
+// the co-purchase index coBought) are dropped by ImportOwned and
+// DropOwned and rebuilt lazily, skipping orders no longer in the store.
 //
 // ImportOwned is an idempotent keyed upsert (map set + max-monotonic ID
 // counters), as core.PartitionedMachine requires: the migration driver
@@ -188,6 +190,7 @@ func (s *Store) ImportOwned(data any) {
 	}
 	s.bsCache = nil
 	s.bsBySubject = nil
+	s.coBought = nil
 }
 
 // DropOwned implements core.PartitionedMachine: remove the moved rows on
@@ -225,6 +228,7 @@ func (s *Store) DropOwned(owned func(key string) bool) {
 	}
 	s.bsCache = nil
 	s.bsBySubject = nil
+	s.coBought = nil
 	// A wholesale drop cannot travel in a row-upsert delta: poison the
 	// chain so the next checkpoint folds into a fresh base (delta.go) —
 	// dropped rows must not resurrect from a stale delta layer.

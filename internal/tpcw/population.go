@@ -313,6 +313,7 @@ func Populate(cfg PopConfig) *Store {
 	s.ordersSinceBS = 0
 	s.bsCache = nil
 	s.bsBySubject = nil
+	s.coBought = nil
 
 	// Nominal state size uses the *full* TPC-W cardinalities so the
 	// checkpoint/recovery model sees the paper's 300/500/700 MB states

@@ -128,6 +128,7 @@ func (s *Store) install(st storeSnap) {
 	}
 	s.bsCache = nil
 	s.bsBySubject = nil
+	s.coBought = nil
 	s.ordersSinceBS = 0
 	// The installed state is snapshot-exact: re-anchor delta tracking.
 	s.resetDirty()

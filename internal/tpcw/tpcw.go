@@ -239,6 +239,16 @@ type Store struct {
 	// dropped (nil) wherever bsQty is restored wholesale.
 	bsBySubject map[string]map[ItemID]int64
 
+	// coBought lists, per item, the recentOrders-window orders that
+	// contain it, oldest first and once per order even when a gift order
+	// repeats the item across lines, so Admin Confirm's related-items
+	// count (relatedFromOrders) reads only the orders that matter instead
+	// of rescanning the window. Like bsBySubject it is derived,
+	// non-replicated state and never part of a snapshot: built lazily on
+	// the first Admin Confirm, maintained by pushRecentOrder, and dropped
+	// (nil) wherever bsBySubject is.
+	coBought map[ItemID][]*Order
+
 	// ordersSinceBS invalidates the best-sellers cache (TPC-W allows
 	// 30 s of staleness; we refresh every bestSellerRefresh orders).
 	ordersSinceBS int

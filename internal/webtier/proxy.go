@@ -560,7 +560,7 @@ func (p *Proxy) grow(totalServers, shards int) {
 
 // probeLoop sends one health probe per server per interval.
 func (p *Proxy) probeLoop() {
-	cal := p.c.cfg.Cal
+	cal := &p.c.cfg.Cal
 	for i := range p.up {
 		if !p.c.accepting(i) {
 			// Connection refused: an instant probe failure.

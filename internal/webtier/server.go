@@ -111,7 +111,7 @@ var _ env.Node = (*Server)(nil)
 func (s *Server) Start(e env.Env) {
 	s.e = e
 	s.cpu = sim.NewResource(s.c.sim, 1)
-	cal := s.c.cfg.Cal
+	cal := &s.c.cfg.Cal
 	pcfg := s.c.cfg.Paxos
 	// The consensus group is this shard's voting servers only — neither
 	// the proxy node, other groups' servers, nor this group's readers are
@@ -246,7 +246,7 @@ type serverMachine struct {
 
 func (m *serverMachine) Execute(action any) any {
 	result := m.s.store.Apply(action)
-	cal := m.s.c.cfg.Cal
+	cal := &m.s.c.cfg.Cal
 	cost := cal.applyCPU(action)
 	if m.s.replica != nil && m.s.replica.IsLeader() {
 		cost += time.Duration(m.s.c.cfg.Servers) * cal.LeaderMsgCPU
@@ -315,7 +315,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
 		return
 	}
-	cal := s.c.cfg.Cal
+	cal := &s.c.cfg.Cal
 	if !m.Req.Kind.IsWrite() {
 		serve := func() {
 			s.cpu.Acquire(s.graySvc(cal.readService(m.Req.Kind)), func() {
