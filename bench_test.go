@@ -455,10 +455,10 @@ func BenchmarkAblationBatching(b *testing.B) {
 }
 
 // BenchmarkBatching tracks the WAL group-commit matrix: committed
-// actions/s against SyncMode × consensus pipeline depth on the default
-// simulated disk, at 1 and 4 shards, with the pre-group-commit engine
-// (reference pipeline, one Storage.Append per WAL record) as the baseline
-// row. Results are written to BENCH_batching.json; the headline metric is
+// actions/s against consensus pipeline depth on the default simulated
+// disk, at 1 and 4 shards, with the pre-group-commit engine shape
+// (shard.MeasureThroughput's reference pipeline: batch 8, 4 in flight)
+// as the baseline row. Results are written to BENCH_batching.json; the headline metric is
 // the best single-group speedup over that baseline.
 func BenchmarkBatching(b *testing.B) {
 	var r exp.BatchingResult

@@ -21,8 +21,8 @@
 //	experiment -run batching -short
 //
 // The batching mode prints the WAL group-commit matrix: committed
-// actions/s against SyncMode × consensus pipeline depth, with the
-// pre-group-commit engine as the baseline row.
+// actions/s against consensus pipeline depth, with the pre-group-commit
+// engine shape as the baseline row.
 //
 // The partition mode runs the correlated network faultloads (leader
 // isolation, minority split, whole-group isolation, asymmetric one-way
@@ -265,9 +265,9 @@ func run(which string, seed uint64, servers int, profileName string, shards int,
 	case "recovery-times":
 		exp.PrintRecoveryTimes(out, exp.RecoveryTimes(seed))
 	case "batching":
-		// WAL group commit: ordered actions/s vs SyncMode × pipeline
-		// depth on the same simulated disk, against the pre-group-commit
-		// engine baseline (ROADMAP item 2).
+		// WAL group commit: ordered actions/s vs pipeline depth on the
+		// same simulated disk, against the pre-group-commit engine shape
+		// as baseline (ROADMAP item 2).
 		cfg := exp.BatchingConfig{Seed: seed}
 		if short {
 			cfg.Shards = []int{1}

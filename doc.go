@@ -60,22 +60,19 @@
 // consensus proposals stream into consecutive instance slots up to
 // paxos.Config.MaxInFlight deep — a uniform backpressure bound no
 // proposal path can overshoot — while acceptor WAL records coalesce into
-// shared group commits under paxos.SyncMode (Batch, the default, pays one
-// flush for every record pending behind the in-flight sync; Immediate is
-// the per-record path;
-// None trades one replica's WAL tail for speed in measurement runs). The
-// invariants hold regardless of mode or depth: the learner delivers in
-// instance order, and every promise/accept is durable before its reply
-// leaves the node (WAL-before-ack) except under SyncNone. Above the
-// engine, a rockyardkv-style write-admission controller grades the local
-// command backlog (slowdown/stop thresholds with hysteresis,
-// paxos.AdmissionConfig) and the web tier paces or holds writes at the
-// tier boundary (core.Replica.AdmissionHint), so overload degrades to
-// queueing latency instead of retry-timeout storms. On the same simulated
+// shared group commits: the engine's one WAL path pays one flush for
+// every record pending behind the in-flight sync. The invariants hold at
+// every depth: the learner delivers in instance order, and every
+// promise/accept is durable before its reply leaves the node
+// (WAL-before-ack). Above the engine, a rockyardkv-style write-admission
+// controller grades the local command backlog (slowdown/stop thresholds
+// with hysteresis, paxos.AdmissionConfig) and the web tier paces or holds
+// writes at the tier boundary (core.Replica.AdmissionHint), so overload
+// degrades to queueing latency instead of retry-timeout storms. On the same simulated
 // disk this moves one group from ~3.9k to ~45k+ committed actions/s
 // (BenchmarkBatching writes BENCH_batching.json: actions/s across
-// SyncMode × MaxInFlight at 1 and 4 shards; cmd/experiment -run batching
-// prints the matrix).
+// MaxInFlight at 1 and 4 shards; cmd/experiment -run batching prints the
+// matrix).
 //
 // The read path scales out independently of the write quorums:
 // webtier.Config.Readers boots learner-backed read-only servers per
@@ -241,7 +238,8 @@
 // collect-and-sort idiom; walltime forbids wall-clock time and global
 // math/rand there (virtual clocks and seeded internal/xrand streams
 // only); walpath confines env.Storage.Append/AppendBatch to the
-// group-commit walWriter in paxos/wal.go and proves every storage
+// group-commit walWriter in paxos/wal.go, the engine's only WAL flush
+// path, and proves every storage
 // implementation completes its done callback on all control-flow paths;
 // guarded checks `// guarded by <mu>` field annotations against the locks
 // actually taken. Deliberate exceptions are annotated in place —

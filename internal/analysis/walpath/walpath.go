@@ -1,9 +1,9 @@
 // Package walpath enforces the two halves of the WAL write invariant
-// that PR 6's group commit introduced:
+// that group commit introduced:
 //
 //  1. env.Storage.Append / AppendBatch are called only from paxos/wal.go.
 //     The walWriter there is the single flush authority — it implements
-//     the SyncMode policy (batch coalescing, ordered completion), and a
+//     group commit (batch coalescing, ordered completion), and a
 //     direct Storage append anywhere else silently bypasses group
 //     commit, reordering durability against the records the writer is
 //     still holding. Suppress an intentional direct call (e.g. a

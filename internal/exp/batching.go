@@ -10,12 +10,12 @@ import (
 )
 
 // This file is the WAL group-commit experiment behind ROADMAP item 2: on
-// the same simulated disk, how far do sync coalescing (SyncMode) and a
+// the same simulated disk, how far do a wider group-commit batch and a
 // deeper consensus pipeline (MaxInFlight) move one group's ordered
-// throughput, and does the gain survive sharding? The baseline row
-// reproduces the pre-group-commit engine — the shard-scaling reference
-// pipeline (batch 8, 4 in flight) with one Storage.Append per WAL record
-// — so the speedup column reads directly as "× over the old engine".
+// throughput, and does the gain survive sharding? The baseline row is
+// shard.MeasureThroughput's reference pipeline (batch 8, 4 in flight) —
+// the pre-group-commit engine shape — so the speedup column reads
+// directly as "× over the old engine".
 
 // BatchingConfig parameterizes the batching matrix.
 type BatchingConfig struct {
@@ -51,15 +51,14 @@ func (c BatchingConfig) withDefaults() BatchingConfig {
 	return c
 }
 
-// BatchingPoint is one cell of the SyncMode × MaxInFlight matrix.
+// BatchingPoint is one cell of the MaxInFlight matrix.
 type BatchingPoint struct {
 	Shards      int
-	Sync        string // WAL sync policy (paxos.SyncMode)
-	MaxInFlight int    // consensus pipeline depth
-	MaxBatch    int    // commands per proposed value
-	Offered     int    // aggregate offered actions/second
+	MaxInFlight int // consensus pipeline depth
+	MaxBatch    int // commands per proposed value
+	Offered     int // aggregate offered actions/second
 	PerSec      float64
-	Baseline    bool    // the pre-group-commit reference engine
+	Baseline    bool    // the reference pipeline
 	Speedup     float64 // PerSec over the same-shard baseline
 }
 
@@ -68,13 +67,12 @@ type BatchingResult struct {
 	Points []BatchingPoint
 }
 
-// Batching runs the matrix: for each shard count, the pre-group-commit
-// baseline, then SyncMode {immediate, batch, none} × MaxInFlight {4, 32}
-// with the wider group-commit batch.
+// Batching runs the matrix: for each shard count, the reference-pipeline
+// baseline, then MaxInFlight {4, 32} with the wider group-commit batch.
 func Batching(cfg BatchingConfig) BatchingResult {
 	cfg = cfg.withDefaults()
 	var out BatchingResult
-	measure := func(shards int, p paxos.Config, baseline bool, basePerSec float64) BatchingPoint {
+	measure := func(shards int, p paxos.Config) BatchingPoint {
 		r := shard.MeasureThroughput(shard.ThroughputConfig{
 			Shards:  shards,
 			Offered: cfg.OfferedPerShard * shards,
@@ -83,49 +81,31 @@ func Batching(cfg BatchingConfig) BatchingResult {
 			Seed:    cfg.Seed,
 			Paxos:   p,
 		})
-		pt := BatchingPoint{
+		return BatchingPoint{
 			Shards:      shards,
-			Sync:        p.Sync.String(),
-			MaxInFlight: p.MaxInFlight,
-			MaxBatch:    p.MaxBatchCmds,
+			MaxInFlight: r.Pipeline.MaxInFlight,
+			MaxBatch:    r.Pipeline.MaxBatchCmds,
 			Offered:     r.Offered,
 			PerSec:      r.PerSec,
-			Baseline:    baseline,
 		}
-		if basePerSec > 0 {
-			pt.Speedup = pt.PerSec / basePerSec
-		}
-		return pt
 	}
 	for _, shards := range cfg.Shards {
-		base := measure(shards, referencePipeline(), true, 0)
-		base.Speedup = 1
+		base := measure(shards, paxos.Config{})
+		base.Baseline, base.Speedup = true, 1
 		out.Points = append(out.Points, base)
-		for _, mode := range []paxos.SyncMode{paxos.SyncImmediate, paxos.SyncBatch, paxos.SyncNone} {
-			for _, inflight := range []int{4, 32} {
-				p := paxos.Config{
-					BatchDelay:   time.Millisecond,
-					MaxBatchCmds: 64,
-					MaxInFlight:  inflight,
-					Sync:         mode,
-				}
-				out.Points = append(out.Points, measure(shards, p, false, base.PerSec))
+		for _, inflight := range []int{4, 32} {
+			pt := measure(shards, paxos.Config{
+				BatchDelay:   time.Millisecond,
+				MaxBatchCmds: 64,
+				MaxInFlight:  inflight,
+			})
+			if base.PerSec > 0 {
+				pt.Speedup = pt.PerSec / base.PerSec
 			}
+			out.Points = append(out.Points, pt)
 		}
 	}
 	return out
-}
-
-// referencePipeline is the pre-group-commit engine shape: the
-// shard-scaling reference proposer window with one synchronous
-// Storage.Append per WAL record.
-func referencePipeline() paxos.Config {
-	return paxos.Config{
-		BatchDelay:   time.Millisecond,
-		MaxBatchCmds: 8,
-		MaxInFlight:  4,
-		Sync:         paxos.SyncImmediate,
-	}
 }
 
 // SingleGroupSpeedup returns the best non-baseline single-group speedup in
@@ -142,15 +122,15 @@ func (r BatchingResult) SingleGroupSpeedup() float64 {
 
 // PrintBatching renders the matrix grouped by shard count.
 func PrintBatching(w io.Writer, r BatchingResult) {
-	fmt.Fprintln(w, "Batching — committed actions/s vs SyncMode × MaxInFlight")
-	fmt.Fprintf(w, "%-8s%-18s%10s%8s%12s%12s%10s\n",
-		"shards", "sync", "inflight", "batch", "offered/s", "actions/s", "speedup")
+	fmt.Fprintln(w, "Batching — committed actions/s vs MaxInFlight")
+	fmt.Fprintf(w, "%-8s%-12s%10s%8s%12s%12s%10s\n",
+		"shards", "pipeline", "inflight", "batch", "offered/s", "actions/s", "speedup")
 	for _, pt := range r.Points {
-		name := pt.Sync
+		name := "batch"
 		if pt.Baseline {
-			name += " (base)"
+			name = "base"
 		}
-		fmt.Fprintf(w, "%-8d%-18s%10d%8d%12d%12.0f%10.2f\n",
+		fmt.Fprintf(w, "%-8d%-12s%10d%8d%12d%12.0f%10.2f\n",
 			pt.Shards, name, pt.MaxInFlight, pt.MaxBatch, pt.Offered, pt.PerSec, pt.Speedup)
 	}
 	fmt.Fprintf(w, "best single-group speedup vs pre-group-commit engine: %.2f×\n",

@@ -34,14 +34,6 @@ type Config struct {
 	// timer-triggered, or queue drain — may overshoot it. Default 5.
 	MaxInFlight int
 
-	// Sync selects the WAL flush policy (see SyncMode). The default,
-	// SyncBatch, coalesces concurrently pending WAL records into one
-	// group commit per flush. A group flushes at the next executor step:
-	// coalescing comes only from records that pile up behind an in-flight
-	// flush, which adds no latency at low concurrency and converges to
-	// full group commit under load.
-	Sync SyncMode
-
 	// Admission parameterizes the proposer's write-admission controller
 	// (see AdmissionConfig). Zero fields take defaults derived from the
 	// MaxInFlight × MaxBatchCmds window.
@@ -56,21 +48,9 @@ type Config struct {
 	// Default 600 ms.
 	LeaderTimeout time.Duration
 
-	// RetryTimeout re-proposes a value that has not been learned.
-	// Default 800 ms.
-	RetryTimeout time.Duration
-
-	// FastDecisionTimeout is how long the coordinator waits for a fast
-	// quorum on an instance before starting coordinated recovery.
-	// Default 40 ms.
-	FastDecisionTimeout time.Duration
-
 	// SweepInterval is the housekeeping period (retries, gap recovery,
 	// catch-up checks). Default 50 ms.
 	SweepInterval time.Duration
-
-	// CatchUpChunk bounds entries per catch-up reply. Default 512.
-	CatchUpChunk int
 
 	// CmdSize returns the modeled serialized size of a command in
 	// bytes; nil means 128 bytes each.
@@ -126,17 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.LeaderTimeout == 0 {
 		c.LeaderTimeout = 600 * time.Millisecond
 	}
-	if c.RetryTimeout == 0 {
-		c.RetryTimeout = 800 * time.Millisecond
-	}
-	if c.FastDecisionTimeout == 0 {
-		c.FastDecisionTimeout = 40 * time.Millisecond
-	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = 50 * time.Millisecond
-	}
-	if c.CatchUpChunk == 0 {
-		c.CatchUpChunk = 512
 	}
 	if c.CmdSize == nil {
 		c.CmdSize = func(any) int64 { return 128 }
@@ -144,6 +115,18 @@ func (c Config) withDefaults() Config {
 	c.Admission = c.Admission.withDefaults(c.MaxInFlight*c.MaxBatchCmds, 128)
 	return c
 }
+
+const (
+	// retryTimeout re-proposes a value that has not been learned.
+	retryTimeout = 800 * time.Millisecond
+
+	// fastDecisionTimeout is how long the coordinator waits for a fast
+	// quorum on an instance before starting coordinated recovery.
+	fastDecisionTimeout = 40 * time.Millisecond
+
+	// catchUpChunk bounds entries per catch-up reply.
+	catchUpChunk = 512
+)
 
 // Engine is one replica's consensus state: proposer, acceptor, learner
 // and (when it owns the current ballot) leader/coordinator, colocated as
@@ -233,7 +216,7 @@ func New(cfg Config) *Engine {
 // ready, if non-nil, runs once the WAL has been replayed.
 func (en *Engine) Boot(e env.Env, deliverFloor InstanceID, ready func()) {
 	en.e = e
-	en.wal = newWALWriter(e, en.cfg.Sync)
+	en.wal = newWALWriter(e)
 	en.me = e.ID()
 	en.members = en.cfg.Members
 	if en.members == nil {
@@ -702,7 +685,7 @@ func (en *Engine) requestCatchUp() {
 	if target < 0 || target == en.me {
 		return
 	}
-	en.e.Send(target, catchUpReqMsg{From: en.firstUnchosen, Max: en.cfg.CatchUpChunk})
+	en.e.Send(target, catchUpReqMsg{From: en.firstUnchosen, Max: catchUpChunk})
 }
 
 func (en *Engine) onCatchUpReq(from env.NodeID, m catchUpReqMsg) {
@@ -848,8 +831,8 @@ func (en *Engine) Compact(through InstanceID) {
 	})
 }
 
-// appendRecord writes a durable record through the WAL writer (which
-// applies the configured SyncMode) and tracks the global record index.
+// appendRecord writes a durable record through the WAL writer's group
+// commit and tracks the global record index.
 func (en *Engine) appendRecord(rec env.Record, done func(error)) {
 	en.records++
 	en.wal.append(rec, done)
@@ -882,7 +865,7 @@ func (en *Engine) sweep() {
 	// deterministic message order).
 	var retrySeqs []int64
 	for seq, pv := range en.outstanding {
-		if now.Sub(pv.lastSent) > en.cfg.RetryTimeout {
+		if now.Sub(pv.lastSent) > retryTimeout {
 			retrySeqs = append(retrySeqs, seq)
 		}
 	}

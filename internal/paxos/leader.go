@@ -377,7 +377,7 @@ func (en *Engine) startRecovery(inst InstanceID) {
 	if ls == nil || !ls.established {
 		return
 	}
-	if r, ok := ls.recs[inst]; ok && en.e.Now().Sub(r.started) < en.cfg.RetryTimeout {
+	if r, ok := ls.recs[inst]; ok && en.e.Now().Sub(r.started) < retryTimeout {
 		return // one attempt at a time
 	}
 	after := en.maxBallotSeq
@@ -466,7 +466,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 	// acceptors); iterate in instance order for determinism.
 	var stalled []InstanceID
 	for inst, p := range ls.inflight {
-		if now.Sub(p.lastSent) > en.cfg.RetryTimeout {
+		if now.Sub(p.lastSent) > retryTimeout {
 			stalled = append(stalled, inst)
 		}
 	}
@@ -496,11 +496,11 @@ func (en *Engine) leaderSweep(now time.Time) {
 		if _, busy := ls.inflight[i]; busy {
 			continue
 		}
-		if r, busy := ls.recs[i]; busy && now.Sub(r.started) < en.cfg.RetryTimeout {
+		if r, busy := ls.recs[i]; busy && now.Sub(r.started) < retryTimeout {
 			continue
 		}
 		if vs, ok := ls.fastVotes[i]; ok {
-			if now.Sub(vs.firstAt) > en.cfg.FastDecisionTimeout {
+			if now.Sub(vs.firstAt) > fastDecisionTimeout {
 				en.startRecovery(i)
 			}
 			continue
@@ -510,7 +510,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 			ls.openSince[i] = now
 			continue
 		}
-		if now.Sub(first) > 2*en.cfg.FastDecisionTimeout {
+		if now.Sub(first) > 2*fastDecisionTimeout {
 			en.startRecovery(i)
 		}
 	}

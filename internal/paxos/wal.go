@@ -2,58 +2,17 @@ package paxos
 
 import "robuststore/internal/env"
 
-// SyncMode selects how the engine flushes WAL records to stable storage.
-// The tradeoff mirrors kevo-style WAL sync policies: Batch amortizes the
-// dominant per-flush seek cost across concurrently pending records (group
-// commit, §5.2 of the paper), Immediate gives the lowest per-record
-// latency at low concurrency, and None trades acceptor durability for raw
-// speed.
-type SyncMode int
-
-const (
-	// SyncBatch (the default) coalesces records that arrive while a
-	// flush is in flight, or within the same executor step, into one
-	// Storage.AppendBatch call, so the whole group pays one sync
-	// latency. Completion callbacks still run only after the records are
-	// durable, preserving the WAL-before-ack invariant.
-	SyncBatch SyncMode = iota
-
-	// SyncImmediate issues one Storage.Append per record, the pre-group-
-	// commit behaviour. The storage layer may still merge appends that
-	// happen to overlap, but the engine adds no coalescing of its own.
-	SyncImmediate
-
-	// SyncNone acknowledges records before they are durable: completion
-	// callbacks run immediately and the records are written out
-	// asynchronously. A crash loses the tail of the log, so promises and
-	// accepts can be forgotten — this mode is safe only when losing one
-	// replica's recent WAL is acceptable (e.g. measurement runs) and
-	// exists to bound the cost of durability in experiments.
-	SyncNone
-)
-
-// String implements fmt.Stringer.
-func (m SyncMode) String() string {
-	switch m {
-	case SyncBatch:
-		return "batch"
-	case SyncImmediate:
-		return "immediate"
-	case SyncNone:
-		return "none"
-	default:
-		return "unknown"
-	}
-}
-
-// walWriter sits between the engine and env.Storage and implements the
-// SyncMode policy. All methods run on the node's executor. Batches retain
-// submission order and AppendBatch completes groups in order, so record
-// ordering on disk is identical to SyncImmediate — only the flush
-// boundaries move.
+// walWriter sits between the engine and env.Storage and is the engine's
+// only WAL flush path: group commit (§5.2 of the paper). Records that
+// arrive while a flush is in flight, or within the same executor step, go
+// out as one Storage.AppendBatch call, so the whole group pays one sync
+// latency. Completion callbacks run only after their records are durable,
+// preserving the WAL-before-ack invariant. All methods run on the node's
+// executor. Batches retain submission order and AppendBatch completes
+// groups in order, so records reach the disk in append order — only the
+// flush boundaries move.
 type walWriter struct {
-	e    env.Env
-	mode SyncMode
+	e env.Env
 
 	buf      []env.Record
 	dones    []func(error)
@@ -61,28 +20,13 @@ type walWriter struct {
 	armed    bool // a flushNow is posted
 }
 
-func newWALWriter(e env.Env, mode SyncMode) *walWriter {
-	return &walWriter{e: e, mode: mode}
+func newWALWriter(e env.Env) *walWriter {
+	return &walWriter{e: e}
 }
 
-// append writes one record under the configured policy. done (nil
-// allowed) runs on the executor — after durability for SyncBatch and
-// SyncImmediate, immediately for SyncNone.
+// append queues one record for the next group. done (nil allowed) runs on
+// the executor once the record is durable.
 func (w *walWriter) append(rec env.Record, done func(error)) {
-	switch w.mode {
-	case SyncImmediate:
-		w.e.Storage().Append(rec, done)
-	case SyncNone:
-		if done != nil {
-			w.e.Post(func() { done(nil) })
-		}
-		w.buffer(rec, nil)
-	default: // SyncBatch
-		w.buffer(rec, done)
-	}
-}
-
-func (w *walWriter) buffer(rec env.Record, done func(error)) {
 	w.buf = append(w.buf, rec)
 	w.dones = append(w.dones, done)
 	w.maybeFlush()

@@ -146,3 +146,140 @@ func TestSubmitWhileUnbooted(t *testing.T) {
 		c.requireDelivered(id, 1)
 	}
 }
+
+// countingStorage wraps a node's storage and records every WAL write the
+// walWriter issues, and how many records storage has acknowledged durable.
+type countingStorage struct {
+	env.Storage
+	appends int     // single-record Append calls
+	batches [][]int // record sequence numbers per AppendBatch call
+	durable int     // records whose AppendBatch completed
+}
+
+func (c *countingStorage) Append(rec env.Record, done func(error)) {
+	c.appends++
+	c.Storage.Append(rec, done)
+}
+
+func (c *countingStorage) AppendBatch(recs []env.Record, done func(error)) {
+	seqs := make([]int, len(recs))
+	for i, r := range recs {
+		seqs[i] = r.Data.(int)
+	}
+	c.batches = append(c.batches, seqs)
+	c.Storage.AppendBatch(recs, func(err error) {
+		c.durable += len(recs)
+		if done != nil {
+			done(err)
+		}
+	})
+}
+
+// countingEnv hands the walWriter the counting storage.
+type countingEnv struct {
+	env.Env
+	st *countingStorage
+}
+
+func (e countingEnv) Storage() env.Storage { return e.st }
+
+// walNode runs a bare walWriter over the counting storage.
+type walNode struct {
+	e  env.Env
+	st *countingStorage
+	w  *walWriter
+}
+
+func (n *walNode) Start(e env.Env) {
+	n.e = e
+	n.st = &countingStorage{Storage: e.Storage()}
+	n.w = newWALWriter(countingEnv{Env: e, st: n.st})
+}
+
+func (n *walNode) Receive(env.NodeID, env.Message) {}
+
+// walRig is one simulated node with a 10 ms flush.
+func walRig(t *testing.T) (*sim.Sim, env.NodeID, *walNode) {
+	t.Helper()
+	s := sim.New(sim.Config{Seed: 75, Disk: sim.DiskConfig{SyncLatency: 10 * time.Millisecond}})
+	n := &walNode{}
+	id := s.AddNode(func() env.Node { return n })
+	s.StartAll()
+	s.RunFor(time.Millisecond)
+	return s, id, n
+}
+
+// TestWALWriterGroupCommit drives the engine's only WAL path on the
+// simulated disk: records appended while a flush is in flight reach
+// storage as one AppendBatch, records land on disk in append order, and
+// every done runs only after its record is durable.
+func TestWALWriterGroupCommit(t *testing.T) {
+	s, id, n := walRig(t)
+	appendedAt := make(map[int]time.Time)
+	var doneOrder []int
+	add := func(seq int) {
+		appendedAt[seq] = s.Now()
+		n.w.append(env.Record{Kind: "test", Data: seq, Size: 100}, func(err error) {
+			if err != nil {
+				t.Errorf("record %d: %v", seq, err)
+			}
+			if n.st.durable <= seq {
+				t.Errorf("record %d acked with only %d records durable", seq, n.st.durable)
+			}
+			if el := s.Now().Sub(appendedAt[seq]); el < 10*time.Millisecond {
+				t.Errorf("record %d acked %v after append, under one flush", seq, el)
+			}
+			doneOrder = append(doneOrder, seq)
+		})
+	}
+	// Record 0 flushes alone; 1..3 arrive in separate events while that
+	// flush is in flight and must share the next one.
+	n.e.Post(func() { add(0) })
+	for seq := 1; seq <= 3; seq++ {
+		seq := seq
+		n.e.After(time.Duration(seq)*2*time.Millisecond, func() { add(seq) })
+	}
+	s.RunFor(100 * time.Millisecond)
+
+	if n.st.appends != 0 {
+		t.Errorf("walWriter issued %d single-record Appends, want 0", n.st.appends)
+	}
+	if got := fmt.Sprint(n.st.batches); got != "[[0] [1 2 3]]" {
+		t.Errorf("AppendBatch calls %s, want [[0] [1 2 3]]", got)
+	}
+	if got := fmt.Sprint(doneOrder); got != "[0 1 2 3]" {
+		t.Errorf("done order %s, want [0 1 2 3]", got)
+	}
+	var onDisk []int
+	s.Storage(id).ReadRecords(func(recs []env.Record, err error) {
+		for _, r := range recs {
+			onDisk = append(onDisk, r.Data.(int))
+		}
+	})
+	s.RunFor(100 * time.Millisecond)
+	if got := fmt.Sprint(onDisk); got != "[0 1 2 3]" {
+		t.Errorf("records on disk %s, want [0 1 2 3]", got)
+	}
+}
+
+// TestWALWriterCrashBeforeDurable: a crash while the flush is in flight
+// runs no completion — the acknowledgement of a record that may not be on
+// disk must never leave the node.
+func TestWALWriterCrashBeforeDurable(t *testing.T) {
+	s, id, n := walRig(t)
+	acked := 0
+	n.e.Post(func() {
+		for seq := 0; seq < 3; seq++ {
+			n.w.append(env.Record{Kind: "test", Data: seq, Size: 100}, func(error) { acked++ })
+		}
+	})
+	s.RunFor(5 * time.Millisecond)
+	if len(n.st.batches) != 1 {
+		t.Fatalf("flush not in flight at crash: %d AppendBatch calls", len(n.st.batches))
+	}
+	s.Crash(id)
+	s.RunFor(100 * time.Millisecond)
+	if acked != 0 {
+		t.Fatalf("%d completions ran after a crash before the flush completed", acked)
+	}
+}

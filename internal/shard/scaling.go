@@ -43,8 +43,8 @@ type ThroughputConfig struct {
 	Seed uint64
 
 	// Paxos, when non-zero (detected by MaxBatchCmds ≠ 0), overrides the
-	// per-group ordering pipeline — batch window, pipeline depth, WAL
-	// SyncMode — so experiments can sweep proposer configurations
+	// per-group ordering pipeline — batch window, batch size, pipeline
+	// depth — so experiments can sweep proposer configurations
 	// (internal/exp's batching curve). Zero keeps the reference pipeline
 	// used by the shard-scaling benchmark.
 	Paxos paxos.Config
@@ -75,10 +75,11 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 // ThroughputResult reports one measurement.
 type ThroughputResult struct {
 	Shards    int
-	Offered   int     // actions/second offered
-	Committed int64   // actions ordered and applied during Measure
-	PerSec    float64 // Committed / Measure
-	PerShard  []int64 // per-group committed counts (balance check)
+	Offered   int          // actions/second offered
+	Committed int64        // actions ordered and applied during Measure
+	PerSec    float64      // Committed / Measure
+	PerShard  []int64      // per-group committed counts (balance check)
+	Pipeline  paxos.Config // the ordering pipeline measured
 }
 
 // counterMachine is the minimal deterministic state machine: it counts
@@ -108,7 +109,7 @@ func MeasureThroughput(cfg ThroughputConfig) ThroughputResult {
 		// with bounded batch size and in-flight values, so one group's
 		// throughput is governed by its WAL flush rate rather than
 		// unbounded batching. The batching experiment overrides this via
-		// ThroughputConfig.Paxos to sweep SyncMode × pipeline depth.
+		// ThroughputConfig.Paxos to sweep pipeline depth.
 		pcfg = paxos.Config{
 			BatchDelay:   time.Millisecond,
 			MaxBatchCmds: 8,
@@ -164,6 +165,7 @@ func MeasureThroughput(cfg ThroughputConfig) ThroughputResult {
 		Shards:   cfg.Shards,
 		Offered:  cfg.Offered,
 		PerShard: make([]int64, cfg.Shards),
+		Pipeline: pcfg,
 	}
 	for i, st := range store.Status() {
 		res.PerShard[i] = st.Applied - startPer[i]

@@ -30,13 +30,10 @@ type NetConfig struct {
 	// the paper's faultload has no message loss, but the Paxos tests
 	// exercise it.
 	DropRate float64
-
-	// SizeOf returns the modeled wire size of a message in bytes. When
-	// nil, messages are costed by the conservative default of
-	// defaultMessageSize bytes.
-	SizeOf func(msg env.Message) int64
 }
 
+// defaultMessageSize is the conservative wire size of a message that does
+// not report its own WireSize.
 const defaultMessageSize = 512
 
 func (nc NetConfig) withDefaults() NetConfig {
@@ -52,12 +49,8 @@ func (nc NetConfig) withDefaults() NetConfig {
 	return nc
 }
 
-func (nc NetConfig) sizeOf(msg env.Message) int64 {
-	if nc.SizeOf != nil {
-		if s := nc.SizeOf(msg); s > 0 {
-			return s
-		}
-	}
+// sizeOf returns the modeled wire size of a message in bytes.
+func sizeOf(msg env.Message) int64 {
 	if s, ok := msg.(interface{ WireSize() int64 }); ok {
 		return s.WireSize()
 	}

@@ -578,7 +578,7 @@ func (s *Sim) send(from *simNode, to env.NodeID, msg env.Message) {
 	if r := s.loss[linkKey{from.id, to}]; r > 0 && s.rng.Float64() < r {
 		return
 	}
-	size := nc.sizeOf(msg)
+	size := sizeOf(msg)
 	var depart time.Time
 	if from.id == to {
 		// Loopback skips the NIC.

@@ -75,11 +75,6 @@ type Config struct {
 	// election/recovery tracing; see sim.Config.DebugLog).
 	DebugLog io.Writer
 
-	// WatchdogInterval is how often each node's watchdog checks its
-	// application server (paper §5.1: restart "as soon as it detects
-	// the crash"). Default 1 s.
-	WatchdogInterval time.Duration
-
 	// OnRecovered reports a server that finished post-crash
 	// re-synchronization.
 	OnRecovered func(server int, at time.Time)
@@ -178,9 +173,6 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = time.Second
-	}
 	if cfg.Cal.PageSize == 0 {
 		cfg.Cal = DefaultCalibration()
 	}
@@ -273,8 +265,13 @@ func (c *Cluster) sessionFrozen(client int64) bool {
 // Start boots all nodes and the watchdogs.
 func (c *Cluster) Start() {
 	c.sim.StartAll()
-	c.sim.After(c.cfg.WatchdogInterval, c.watchdog)
+	c.sim.After(watchdogInterval, c.watchdog)
 }
+
+// watchdogInterval is how often each node's watchdog checks its
+// application server (paper §5.1: restart "as soon as it detects the
+// crash").
+const watchdogInterval = time.Second
 
 // watchdog re-instantiates crashed application servers automatically
 // (paper §5.1), unless auto-restart was disabled for the delayed-recovery
@@ -285,7 +282,7 @@ func (c *Cluster) watchdog() {
 			c.sim.Restart(id)
 		}
 	}
-	c.sim.After(c.cfg.WatchdogInterval, c.watchdog)
+	c.sim.After(watchdogInterval, c.watchdog)
 }
 
 // Crash kills server i abruptly (OS-level kill, §5.1). In-flight requests
