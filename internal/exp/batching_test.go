@@ -7,8 +7,8 @@ import (
 
 // TestBatchingCommitsAtMostOffered: no cell of the short batching matrix
 // (cmd/experiment -run batching -short) may report more committed
-// actions/s than it offered. Counting the warm-up backlog that drains
-// inside the measurement window used to break this.
+// actions/s than it offered, and none may read zero: the warm-up backlog
+// must neither be counted inside the window nor starve it.
 func TestBatchingCommitsAtMostOffered(t *testing.T) {
 	r := Batching(BatchingConfig{
 		Shards:  []int{1},

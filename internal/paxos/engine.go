@@ -216,7 +216,7 @@ func New(cfg Config) *Engine {
 // ready, if non-nil, runs once the WAL has been replayed.
 func (en *Engine) Boot(e env.Env, deliverFloor InstanceID, ready func()) {
 	en.e = e
-	en.wal = newWALWriter(e)
+	en.wal = &walWriter{e: e}
 	en.me = e.ID()
 	en.members = en.cfg.Members
 	if en.members == nil {

@@ -20,10 +20,6 @@ type walWriter struct {
 	armed    bool // a flushNow is posted
 }
 
-func newWALWriter(e env.Env) *walWriter {
-	return &walWriter{e: e}
-}
-
 // append queues one record for the next group. done (nil allowed) runs on
 // the executor once the record is durable.
 func (w *walWriter) append(rec env.Record, done func(error)) {

@@ -193,7 +193,7 @@ type walNode struct {
 func (n *walNode) Start(e env.Env) {
 	n.e = e
 	n.st = &countingStorage{Storage: e.Storage()}
-	n.w = newWALWriter(countingEnv{Env: e, st: n.st})
+	n.w = &walWriter{e: countingEnv{Env: e, st: n.st}}
 }
 
 func (n *walNode) Receive(env.NodeID, env.Message) {}
